@@ -10,20 +10,43 @@
 //     never ancestor/descendant of one another, so their pivot solves are
 //     independent (Ruipeng Li, "On Parallel Solution of Sparse Triangular
 //     Linear Systems in CUDA"). build_solve_schedule() extracts the level
-//     structure plus the exact dependency runs between supernodes once per
-//     symbolic analysis; the sweeps then execute as a dependency DAG on the
-//     work-stealing thread pool.
+//     structure, the exact dependency runs between supernodes and the tiled
+//     sweep DAGs once per symbolic analysis; the sweeps then execute those
+//     DAGs on the work-stealing thread pool.
 //   * RHS blocking. A blocked solve streams every factor panel ONCE for a
 //     whole block of right-hand sides instead of once per RHS; only the
 //     per-RHS gather/scatter traffic scales with the block width.
+//   * Intra-supernode parallelism. The root separators carry most of the
+//     work, so wide supernodes are tiled (below) and their off-pivot work
+//     spreads over the pool instead of running as one task.
 //
-// Determinism: the forward sweep is formulated as a PULL — each supernode
-// applies its incoming update runs itself, sources in ascending supernode
-// order — so every x entry sees the exact subtraction sequence of the
-// serial sweep regardless of thread count, schedule, or backend. The
-// backward sweep is already a gather. Results are therefore bitwise
-// identical to multifrontal/solve.hpp's serial sweeps at every thread
-// count, with no separate "deterministic mode" to toggle.
+// Determinism: results are bitwise identical to multifrontal/solve.hpp's
+// serial sweeps at every thread count, block width and backend, with no
+// separate "deterministic mode" to toggle, because every x entry sees the
+// serial sweep's exact operation sequence:
+//
+//   * The forward sweep is a PULL: each supernode applies its incoming
+//     update runs itself, sources in ascending supernode order, so an entry
+//     receives its subtractions in the serial scatter's order (source
+//     ascending, then pivot column ascending), followed by its pivot
+//     triangle's subtractions (column ascending) and the diagonal division.
+//     The backward sweep is a gather per pivot column (update rows
+//     ascending), then the column-by-column back substitution.
+//   * Intra-supernode tiles. A supernode wider than a fixed tile of pivot
+//     columns (a constant of the code, independent of the thread count) is
+//     split into extra DAG nodes: forward, one per row tile, each applying
+//     every incoming run — sources ascending — to its own rows only;
+//     backward, one per column tile of the L21^T gather. Tiles partition
+//     the entries, never an entry's sequence, and the pivot triangle runs
+//     after all of its supernode's tiles. Only triangle nodes are priced,
+//     so the virtual time stays per supernode.
+//   * RHS-contiguous layout. The sweeps run on a row-major copy of the
+//     block, so one unknown's right-hand sides are adjacent and the kernels
+//     keep a few rows x up to 8 right-hand sides in SIMD registers
+//     (dense/rhs_lanes.hpp). Lanes hold different right-hand sides (or,
+//     for a single one, different rows or pivot columns) — never two terms
+//     of one entry — and column and row blocking only choose which
+//     independent entries share a pass over a panel.
 //
 // Timing is virtual, like everything else in this repo: each worker owns a
 // SimClock, CPU tasks are priced at the memory-bound host assembly rate,
@@ -82,6 +105,32 @@ struct SolveSchedule {
   std::vector<index_t> in_runs;
   /// Widest level (supernode count) — the schedule's parallelism ceiling.
   index_t max_level_width = 0;
+
+  /// Sweep DAG nodes. Supernode s owns nodes [node_ptr[s], node_ptr[s+1]);
+  /// the last one is its triangle node (pivot solve, and for a supernode of
+  /// at most one tile all of its off-pivot work). A wider supernode has one
+  /// tile node per tile of pivot columns ahead of it: forward, a row tile;
+  /// backward, a column tile of the L21^T gather.
+  std::vector<index_t> node_ptr;
+  std::vector<index_t> node_snode;
+  /// Forward row tiles' incoming runs cut to the tile's rows, sources
+  /// ascending: tile_runs[tile_run_ptr[v] .. tile_run_ptr[v+1]) belong to
+  /// node v (empty for triangle nodes).
+  std::vector<index_t> tile_run_ptr;
+  std::vector<SolveRun> tile_runs;
+  /// One sweep's dependency DAG over the nodes, in CSR form.
+  struct Dag {
+    std::vector<index_t> succ_ptr;
+    std::vector<index_t> succ;
+    std::vector<index_t> num_deps;
+    std::vector<double> priority;
+  };
+  Dag forward_dag;
+  Dag backward_dag;
+
+  index_t triangle_node(index_t s) const {
+    return node_ptr[static_cast<std::size_t>(s) + 1] - 1;
+  }
 };
 
 SolveSchedule build_solve_schedule(const SymbolicFactor& sym);

@@ -3,7 +3,68 @@
 #include <cmath>
 #include <cstring>
 
+#include "dense/rhs_lanes.hpp"
+
 namespace mfgpu {
+
+namespace {
+
+/// r(:, c) = b(:, c) - A x(:, c) for every column c in `cols`, in one pass
+/// over A for all of them; returns ||r(:, cols[i])||_2 in order. The columns
+/// only share SIMD lanes, so each one sees exactly SparseSpd::multiply's
+/// accumulation sequence and residual_norm's summation order: the norms are
+/// bitwise residual_norm's. Refinement records these norms and solves for
+/// these residuals, so every iterate costs one pass over A.
+std::vector<double> residuals(const SparseSpd& a, const Matrix<double>& x,
+                              const Matrix<double>& b,
+                              std::span<const index_t> cols,
+                              Matrix<double>& r) {
+  const index_t n = a.n();
+  const auto k = static_cast<index_t>(cols.size());
+  // A x on RHS-contiguous copies: row i holds the k values of unknown i.
+  std::vector<double> xr(static_cast<std::size_t>(n * k));
+  std::vector<double> yr(static_cast<std::size_t>(n * k), 0.0);
+  for (index_t c = 0; c < k; ++c) {
+    const double* xc = x.data() + cols[static_cast<std::size_t>(c)] * n;
+    for (index_t i = 0; i < n; ++i) {
+      xr[static_cast<std::size_t>(i * k + c)] = xc[i];
+    }
+  }
+  for (index_t j = 0; j < n; ++j) {
+    const std::span<const index_t> rows = a.column_rows(j);
+    const std::span<const double> vals = a.column_values(j);
+    lanes::for_each_chunk(k, [&]<int W>(index_t c0) {
+      using Chunk = lanes::Chunk<W>;
+      const Chunk xj = Chunk::load(&xr[static_cast<std::size_t>(j * k + c0)]);
+      Chunk yj = Chunk::load(&yr[static_cast<std::size_t>(j * k + c0)]);
+      // Diagonal once; off-diagonals act on both triangles.
+      yj.add_product(vals[0], xj);
+      for (std::size_t t = 1; t < rows.size(); ++t) {
+        const auto at = static_cast<std::size_t>(rows[t] * k + c0);
+        Chunk yi = Chunk::load(&yr[at]);
+        yi.add_product(vals[t], xj);
+        yi.store(&yr[at]);
+        yj.add_product(vals[t], Chunk::load(&xr[at]));
+      }
+      yj.store(&yr[static_cast<std::size_t>(j * k + c0)]);
+    });
+  }
+  std::vector<double> norms(static_cast<std::size_t>(k));
+  for (index_t c = 0; c < k; ++c) {
+    const index_t col = cols[static_cast<std::size_t>(c)];
+    const double* bc = b.data() + col * n;
+    double* rc = r.data() + col * n;
+    double sum = 0.0;
+    for (index_t i = 0; i < n; ++i) {
+      rc[i] = bc[i] - yr[static_cast<std::size_t>(i * k + c)];
+      sum += rc[i] * rc[i];
+    }
+    norms[static_cast<std::size_t>(c)] = std::sqrt(sum);
+  }
+  return norms;
+}
+
+}  // namespace
 
 double residual_norm(const SparseSpd& a, std::span<const double> x,
                      std::span<const double> b) {
@@ -60,6 +121,15 @@ BlockRefineResult solve_with_refinement(
     return std::span<const double>(m.data() + col * static_cast<index_t>(n),
                                    n);
   };
+  // b - A x of each column's current iterate: its norm is recorded, and it
+  // is the rhs of the column's next correction.
+  Matrix<double> residual(static_cast<index_t>(n), num_rhs);
+  std::vector<index_t> active(static_cast<std::size_t>(num_rhs));
+  for (index_t col = 0; col < num_rhs; ++col) {
+    active[static_cast<std::size_t>(col)] = col;
+  }
+  const std::vector<double> initial =
+      residuals(a_original, result.x, b, active, residual);
 
   // Per-column refinement state, mirroring the scalar loop exactly: each
   // column converges, stagnates, and reverts on its own norms. A step is
@@ -76,8 +146,7 @@ BlockRefineResult solve_with_refinement(
   for (index_t col = 0; col < num_rhs; ++col) {
     const auto c = static_cast<std::size_t>(col);
     auto& norms = result.residual_norms[c];
-    norms.push_back(
-        residual_norm(a_original, col_span(result.x, col), col_span(b, col)));
+    norms.push_back(initial[c]);
     double b_norm = 0.0;
     for (double v : col_span(b, col)) b_norm += v * v;
     b_norm = std::sqrt(b_norm);
@@ -87,8 +156,6 @@ BlockRefineResult solve_with_refinement(
                      col_span(result.x, col).end());
   }
 
-  std::vector<index_t> active;
-  std::vector<double> residual(n);
   for (int it = 0; it < max_iterations; ++it) {
     active.clear();
     for (index_t col = 0; col < num_rhs; ++col) {
@@ -99,33 +166,34 @@ BlockRefineResult solve_with_refinement(
     }
     if (active.empty()) break;
 
-    // r = b - A x per active column, in double precision; then one blocked
-    // correction solve for the whole active set.
+    // One blocked correction solve for the whole active set, against the
+    // double-precision residuals already computed for its norms.
     Matrix<double> rblock(static_cast<index_t>(n),
                           static_cast<index_t>(active.size()));
     for (std::size_t a = 0; a < active.size(); ++a) {
-      const index_t col = active[a];
-      std::span<double> r(rblock.data() + static_cast<index_t>(a) *
-                                              static_cast<index_t>(n),
-                          n);
-      a_original.multiply(col_span(result.x, col), r);
-      const std::span<const double> bc = col_span(b, col);
-      for (std::size_t i = 0; i < n; ++i) r[i] = bc[i] - r[i];
+      std::memcpy(rblock.data() + static_cast<index_t>(a) *
+                                      static_cast<index_t>(n),
+                  residual.data() + active[a] * static_cast<index_t>(n),
+                  n * sizeof(double));
     }
     const Matrix<double> dx =
         solve(analysis, factor, rblock, static_cast<index_t>(active.size()),
               solve_options);
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      double* x_col = result.x.data() + active[a] * static_cast<index_t>(n);
+      const double* dx_col =
+          dx.data() + static_cast<index_t>(a) * static_cast<index_t>(n);
+      for (std::size_t i = 0; i < n; ++i) x_col[i] += dx_col[i];
+    }
+    const std::vector<double> step_norms =
+        residuals(a_original, result.x, b, active, residual);
 
     for (std::size_t a = 0; a < active.size(); ++a) {
       const index_t col = active[a];
       const auto c = static_cast<std::size_t>(col);
-      double* x_col = result.x.data() + col * static_cast<index_t>(n);
-      const double* dx_col =
-          dx.data() + static_cast<index_t>(a) * static_cast<index_t>(n);
-      for (std::size_t i = 0; i < n; ++i) x_col[i] += dx_col[i];
+      const double* x_col = result.x.data() + col * static_cast<index_t>(n);
       auto& norms = result.residual_norms[c];
-      const double norm =
-          residual_norm(a_original, col_span(result.x, col), col_span(b, col));
+      const double norm = step_norms[a];
       ++result.iterations[c];
       if (norm < best_norm[c]) {
         best_norm[c] = norm;

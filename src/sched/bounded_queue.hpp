@@ -7,6 +7,8 @@
 //     try_push() fails immediately instead (the Reject policy).
 //   - pop() blocks while empty (and while paused), returning std::nullopt
 //     only once the queue is closed AND empty — the consumer's exit signal.
+//     pop_if() is the same for the first item a consumer may take (e.g. a
+//     retry steered away from the consumer that failed it).
 //   - close() wakes every waiter; subsequent pushes fail, already-queued
 //     items remain poppable (drain), or can be flushed with drain_now().
 //   - extract_if() lets a consumer pull additional matching items out of
@@ -15,6 +17,7 @@
 //     gives tests and benchmarks a deterministic queue composition.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -43,7 +46,7 @@ class BoundedQueue {
     if (closed_) return false;
     items_.push_back(std::move(item));
     lock.unlock();
-    not_empty_.notify_one();
+    not_empty_.notify_all();
     return true;
   }
   bool push(T&& item) {
@@ -58,19 +61,31 @@ class BoundedQueue {
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
     }
-    not_empty_.notify_one();
+    not_empty_.notify_all();
     return true;
   }
 
   /// Blocking pop; std::nullopt once closed and drained.
   std::optional<T> pop() {
+    return pop_if([](const T&) { return true; });
+  }
+
+  /// Blocking pop of the first queued item satisfying `pred`; waits while
+  /// no queued item does (or while paused), and returns std::nullopt once
+  /// the queue is closed and holds no such item. Pushes wake every waiter,
+  /// so an item one consumer must pass over still reaches the others.
+  template <typename Pred>
+  std::optional<T> pop_if(Pred pred) {
     std::unique_lock<std::mutex> lock(mutex_);
+    auto it = items_.end();
     not_empty_.wait(lock, [&] {
-      return (!paused_ && !items_.empty()) || (closed_ && items_.empty());
+      it = paused_ ? items_.end()
+                   : std::find_if(items_.begin(), items_.end(), pred);
+      return it != items_.end() || closed_;
     });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
+    if (it == items_.end()) return std::nullopt;
+    T item = std::move(*it);
+    items_.erase(it);
     lock.unlock();
     not_full_.notify_one();
     return item;

@@ -33,6 +33,10 @@ struct Request {
   bool has_deadline = false;
   int retries_left = 0;
   int attempts = 0;
+  /// Session whose attempt failed last (-1: none). Its retry goes to a
+  /// different session, so a fast-failing session cannot burn the whole
+  /// retry budget on requests a healthy session would complete.
+  int failed_on = -1;
   bool collect_trace = false;
   bool explain_schedule = false;
   /// Causal identity carried through sessions, Solver phases, executors,
@@ -85,9 +89,7 @@ struct SolverService::Impl {
                    : options.alert_rules) {
     MFGPU_CHECK(options.max_batch_rhs >= 1,
                 "SolverService: max_batch_rhs must be >= 1");
-    const int sessions = options.session_workers.empty()
-                             ? options.num_sessions
-                             : static_cast<int>(options.session_workers.size());
+    const int sessions = session_count();
     MFGPU_CHECK(sessions >= 1, "SolverService: need at least one session");
     queue.set_paused(options.start_paused);
     threads.reserve(static_cast<std::size_t>(sessions));
@@ -97,6 +99,12 @@ struct SolverService::Impl {
     if (options.health_sample_seconds > 0.0) {
       monitor = std::thread([this] { run_monitor(); });
     }
+  }
+
+  int session_count() const noexcept {
+    return options.session_workers.empty()
+               ? options.num_sessions
+               : static_cast<int>(options.session_workers.size());
   }
 
   /// Per-session solver state: one Solver handle reused as long as the
@@ -199,7 +207,11 @@ void SolverService::Impl::cancel(Request& request) {
 void SolverService::Impl::run_session(int id) {
   Session session;
   bool named_lane = false;
-  while (std::optional<Request> request = queue.pop()) {
+  // A lone session takes its own retries; otherwise they wait, blocked in
+  // the queue, for another session.
+  const bool steer = session_count() > 1;
+  auto may_take = [&](const Request& r) { return !steer || r.failed_on != id; };
+  while (std::optional<Request> request = queue.pop_if(may_take)) {
     if (!named_lane && obs::enabled()) {
       obs::TraceSession::global().set_current_thread_name(
           "serve session " + std::to_string(id));
@@ -223,7 +235,8 @@ void SolverService::Impl::run_session(int id) {
       std::vector<Request> extracted = queue.extract_if(
           [&](const Request& r) {
             return r.pattern_fp == pattern_fp && r.values_fp == values_fp &&
-                   r.batching == batching && r.cluster == cluster;
+                   r.batching == batching && r.cluster == cluster &&
+                   may_take(r);
           },
           static_cast<std::size_t>(options.max_batch_rhs) - 1);
       const Clock::time_point now = Clock::now();
@@ -457,8 +470,8 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
   }
 
   // Execution failed. Requests with retry budget left go back to the queue
-  // for another attempt (possibly on a different session, against the
-  // rebuilt state); the rest fail. try_push never blocks a session thread
+  // for another attempt — on a different session when there is one, else
+  // against this session's rebuilt state; the rest fail. try_push never blocks a session thread
   // and fails once the queue is closed or full, in which case the request
   // fails like one with no budget.
   std::int64_t failed = 0;
@@ -469,6 +482,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     Request& request = batch[i];
     if (request.retries_left > 0) {
       --request.retries_left;
+      request.failed_on = id;
       // Marker first: try_push moves the request out on success.
       const std::int64_t now_ns = trace.now_ns();
       obs::record_span("request", "retry_enqueue", now_ns, now_ns,
@@ -714,9 +728,7 @@ const AnalysisCache::Stats SolverService::cache_stats() const {
 std::size_t SolverService::queue_depth() const { return impl_->queue.size(); }
 
 int SolverService::num_sessions() const noexcept {
-  return impl_->options.session_workers.empty()
-             ? impl_->options.num_sessions
-             : static_cast<int>(impl_->options.session_workers.size());
+  return impl_->session_count();
 }
 
 }  // namespace mfgpu::serve

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -133,32 +134,164 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
   }
 }
 
-// The heart of the PR's determinism claim: the parallel blocked solve is
+// The cached tiled sweep DAG: a supernode wider than one 64-column tile
+// owns one tile node per tile ahead of its triangle node, and its row tiles
+// cut every incoming run into consecutive pieces, sources ascending within
+// each tile, so every target row is applied by exactly one tile.
+TEST(ParallelSolveTest, TiledSweepDagCutsEveryIncomingRunOnce) {
+  Rng rng(11);
+  const GridProblem p = make_elasticity_3d(6, 6, 6, 3, rng);
+  const Analysis an = analyze(p.matrix, nested_dissection(p.coords));
+  const SymbolicFactor& sym = an.symbolic;
+  const SolveSchedule sched = build_solve_schedule(sym);
+  const index_t nsup = sched.num_supernodes;
+  ASSERT_EQ(sched.node_ptr.size(), static_cast<std::size_t>(nsup) + 1);
+  const index_t nodes = sched.node_ptr.back();
+  ASSERT_EQ(sched.node_snode.size(), static_cast<std::size_t>(nodes));
+  ASSERT_EQ(sched.tile_run_ptr.size(), static_cast<std::size_t>(nodes) + 1);
+
+  index_t tiled = 0;
+  for (index_t s = 0; s < nsup; ++s) {
+    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
+    const index_t first = sched.node_ptr[static_cast<std::size_t>(s)];
+    const index_t tri = sched.triangle_node(s);
+    const index_t tiles = tri - first;
+    EXPECT_EQ(tiles, sn.width() > 64 ? (sn.width() + 63) / 64 : 0);
+    if (tiles > 0) ++tiled;
+    for (index_t v = first; v <= tri; ++v) {
+      EXPECT_EQ(sched.node_snode[static_cast<std::size_t>(v)], s);
+    }
+    EXPECT_EQ(sched.tile_run_ptr[static_cast<std::size_t>(tri)],
+              sched.tile_run_ptr[static_cast<std::size_t>(tri) + 1]);
+
+    // Next uncovered update row of every incoming run, by source.
+    std::vector<std::pair<index_t, index_t>> next;  // (source, t)
+    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
+         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
+      const SolveRun& run = sched.runs[static_cast<std::size_t>(
+          sched.in_runs[static_cast<std::size_t>(i)])];
+      next.emplace_back(run.source, run.t_begin);
+    }
+    for (index_t v = first; v < tri; ++v) {
+      const index_t row_begin = sn.first_col + (v - first) * 64;
+      const index_t row_end = std::min(sn.last_col, row_begin + 64);
+      index_t prev_source = -1;
+      for (index_t i = sched.tile_run_ptr[static_cast<std::size_t>(v)];
+           i < sched.tile_run_ptr[static_cast<std::size_t>(v) + 1]; ++i) {
+        const SolveRun& cut = sched.tile_runs[static_cast<std::size_t>(i)];
+        EXPECT_EQ(cut.target, s);
+        EXPECT_GT(cut.source, prev_source);
+        prev_source = cut.source;
+        auto it = std::find_if(next.begin(), next.end(), [&](const auto& e) {
+          return e.first == cut.source;
+        });
+        ASSERT_NE(it, next.end());
+        EXPECT_EQ(cut.t_begin, it->second);
+        it->second = cut.t_end;
+        const auto& rows =
+            sym.supernodes()[static_cast<std::size_t>(cut.source)].update_rows;
+        for (index_t t = cut.t_begin; t < cut.t_end; ++t) {
+          EXPECT_GE(rows[static_cast<std::size_t>(t)], row_begin);
+          EXPECT_LT(rows[static_cast<std::size_t>(t)], row_end);
+        }
+      }
+    }
+    if (tiles > 0) {
+      std::size_t k = 0;
+      for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
+           i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i, ++k) {
+        EXPECT_EQ(next[k].second,
+                  sched.runs[static_cast<std::size_t>(
+                                 sched.in_runs[static_cast<std::size_t>(i)])]
+                      .t_end);
+      }
+    }
+  }
+  EXPECT_GT(tiled, 0);
+
+  for (const SolveSchedule::Dag* dag :
+       {&sched.forward_dag, &sched.backward_dag}) {
+    ASSERT_EQ(dag->succ_ptr.size(), static_cast<std::size_t>(nodes) + 1);
+    ASSERT_EQ(dag->num_deps.size(), static_cast<std::size_t>(nodes));
+    ASSERT_EQ(dag->priority.size(), static_cast<std::size_t>(nodes));
+    index_t deps = 0;
+    for (index_t d : dag->num_deps) deps += d;
+    EXPECT_EQ(static_cast<std::size_t>(deps), dag->succ.size());
+  }
+}
+
+SolveSetup factorize_nd_precision(const GridProblem& p,
+                                  FactorPrecision precision) {
+  Analysis an = analyze(p.matrix, nested_dissection(p.coords));
+  PolicyExecutor p1(Policy::P1);
+  FactorContext ctx;
+  FactorizeOptions options;
+  options.precision = precision;
+  FactorizeResult result = factorize(an, p1, ctx, options);
+  return SolveSetup{std::move(an), std::move(result.factor)};
+}
+
+// The heart of the determinism claim: the parallel blocked solve is
 // bitwise identical to the serial sweeps at every thread count, for both
-// double and float panel storage, on both pricing backends.
+// double and float panel storage, on both pricing backends, at every block
+// width — so each SIMD chunk width (8, 4, 2, 1) and every remainder runs.
+// The setups cover an ND Laplacian, a minimum-degree elasticity factor from
+// the P3 device path, and a 6x6x6 elasticity grid whose ND root separator
+// is wider than one intra-supernode tile, so the tiled forward/backward
+// nodes run too.
 TEST(ParallelSolveTest, BitwiseMatchesSerialAcrossThreadsAndBackends) {
   Rng rng(11);
   const GridProblem p = make_elasticity_3d(3, 3, 2, 3, rng);
+  const GridProblem wide = make_elasticity_3d(6, 6, 6, 3, rng);
   Device device;
-  const SolveSetup setups[] = {factorize_nd(make_laplacian_3d(6, 5, 4)),
-                               factorize_mixed(p, device)};
+  const SolveSetup setups[] = {
+      factorize_nd(make_laplacian_3d(6, 5, 4)), factorize_mixed(p, device),
+      factorize_nd_precision(wide, FactorPrecision::Float64),
+      factorize_nd_precision(wide, FactorPrecision::Float32)};
+  ASSERT_FALSE(setups[2].factor.single_precision());
+  ASSERT_TRUE(setups[3].factor.single_precision());
+
+  // The 6x6x6 schedule has a supernode split into tile nodes.
+  const SolveSchedule wide_sched =
+      build_solve_schedule(setups[2].analysis.symbolic);
+  index_t most_nodes = 0;
+  for (index_t s = 0; s < wide_sched.num_supernodes; ++s) {
+    most_nodes = std::max(
+        most_nodes, wide_sched.node_ptr[static_cast<std::size_t>(s) + 1] -
+                        wide_sched.node_ptr[static_cast<std::size_t>(s)]);
+  }
+  ASSERT_GT(most_nodes, 1) << "no supernode spans more than one solve tile";
+
+  const index_t kMaxRhs = 17;
   for (const SolveSetup& s : setups) {
     const index_t n = s.analysis.symbolic.n();
-    const Matrix<double> b = make_block(n, 1);
-    const std::vector<double> serial = solve(
-        s.analysis, s.factor,
-        std::span<const double>(b.data(), static_cast<std::size_t>(n)));
-    for (int threads : {1, 2, 4, 8}) {
-      for (SolveBackend backend : {SolveBackend::Host, SolveBackend::GpuSim}) {
-        ParallelSolveOptions options;
-        options.threads = threads;
-        options.backend = backend;
-        const Matrix<double> x = solve(s.analysis, s.factor, b, 1, options);
-        for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(x(i, 0), serial[static_cast<std::size_t>(i)])
-              << "threads=" << threads
-              << " backend=" << (backend == SolveBackend::Host ? "host" : "gpu")
-              << " float_panels=" << s.factor.single_precision() << " row=" << i;
+    const Matrix<double> b = make_block(n, kMaxRhs);
+    std::vector<std::vector<double>> serial;
+    for (index_t c = 0; c < kMaxRhs; ++c) {
+      serial.push_back(solve(s.analysis, s.factor,
+                             std::span<const double>(
+                                 b.data() + c * n, static_cast<std::size_t>(n))));
+    }
+    for (index_t num_rhs : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17}) {
+      for (int threads : {1, 2, 4, 8}) {
+        for (SolveBackend backend :
+             {SolveBackend::Host, SolveBackend::GpuSim}) {
+          ParallelSolveOptions options;
+          options.threads = threads;
+          options.backend = backend;
+          const Matrix<double> x =
+              solve(s.analysis, s.factor, b, num_rhs, options);
+          for (index_t c = 0; c < num_rhs; ++c) {
+            for (index_t i = 0; i < n; ++i) {
+              ASSERT_EQ(x(i, c), serial[static_cast<std::size_t>(c)]
+                                       [static_cast<std::size_t>(i)])
+                  << "n=" << n << " rhs=" << num_rhs << " threads=" << threads
+                  << " backend="
+                  << (backend == SolveBackend::Host ? "host" : "gpu")
+                  << " float_panels=" << s.factor.single_precision()
+                  << " col=" << c << " row=" << i;
+            }
+          }
         }
       }
     }
@@ -246,7 +379,8 @@ TEST(ParallelSolveTest, BlockedRefinementMatchesScalarPerColumn) {
   Device device;
   const SolveSetup s = factorize_mixed(p, device);
   const index_t n = s.analysis.symbolic.n();
-  const index_t kRhs = 3;
+  // 8 + 2 + 1: the blocked residual's every SIMD chunk width.
+  const index_t kRhs = 11;
   const Matrix<double> b = make_block(n, kRhs);
 
   ParallelSolveOptions options;
@@ -273,6 +407,11 @@ TEST(ParallelSolveTest, BlockedRefinementMatchesScalarPerColumn) {
       ASSERT_EQ(block.x(i, c), scalar.x[static_cast<std::size_t>(i)])
           << "col=" << c << " row=" << i;
     }
+    // The blocked residual pass reproduces residual_norm bitwise.
+    EXPECT_EQ(block.residual_norms[static_cast<std::size_t>(c)].back(),
+              residual_norm(p.matrix, scalar.x,
+                            std::span<const double>(
+                                b.data() + c * n, static_cast<std::size_t>(n))));
   }
 }
 

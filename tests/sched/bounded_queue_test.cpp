@@ -1,6 +1,7 @@
 #include "sched/bounded_queue.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -83,6 +84,26 @@ TEST(BoundedQueue, ExtractIfPullsMatchesPreservingOrder) {
   EXPECT_EQ(q.pop(), 3);
   EXPECT_EQ(q.pop(), 5);
   EXPECT_EQ(q.pop(), 6);
+}
+
+TEST(BoundedQueue, PopIfPassesOverItemsAnotherConsumerMustTake) {
+  BoundedQueue<int> q(4);
+  ASSERT_TRUE(q.push(1));  // odd: not for the even consumer below
+  std::atomic<bool> popped{false};
+  std::thread even_consumer([&] {
+    EXPECT_EQ(q.pop_if([](int v) { return v % 2 == 0; }), 2);
+    popped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(popped.load());  // blocked, not spinning past the odd item
+  ASSERT_TRUE(q.push(2));       // the push wakes it
+  even_consumer.join();
+  EXPECT_TRUE(popped.load());
+  EXPECT_EQ(q.size(), 1u);
+  q.close();
+  // Closed: nothing matching ever arrives, while others may still drain.
+  EXPECT_EQ(q.pop_if([](int v) { return v % 2 == 0; }), std::nullopt);
+  EXPECT_EQ(q.pop(), 1);
 }
 
 TEST(BoundedQueue, DrainNowFlushesEverything) {

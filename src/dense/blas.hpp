@@ -1,9 +1,12 @@
 // Level-3 BLAS kernels implemented from scratch (the paper offloads exactly
 // these to ATLAS on the host and CUBLAS on the GPU: gemm, syrk, trsm).
 //
-// Only the variants the multifrontal algorithm needs are implemented, but
-// each is implemented for the full shape range and validated against naive
-// reference versions in the test suite. All matrices are column-major.
+// Only the variants the multifrontal algorithm calls are implemented; other
+// combinations throw InvalidArgumentError. gemm, syrk and the trsm updates
+// run on one register-blocked SIMD micro-kernel (blas.cpp), and every output
+// entry keeps the operation sequence of the plain loops in
+// dense/reference.hpp, which the tests check bitwise. All matrices are
+// column-major.
 #pragma once
 
 #include "dense/matrix.hpp"
@@ -16,8 +19,8 @@ enum class Uplo { Lower, Upper };
 enum class Side { Left, Right };
 enum class Diag { NonUnit, Unit };
 
-/// C := alpha * op(A) * op(B) + beta * C.
-/// op(A) is (M x K), op(B) is (K x N), C is (M x N).
+/// C := alpha * A * B^T + beta * C with A (M x K), B (N x K), C (M x N):
+/// trans_a must be NoTrans and trans_b Transpose.
 template <typename T>
 void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
           MatrixView<const T> b, T beta, MatrixView<T> c);
@@ -28,19 +31,17 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
 template <typename T>
 void syrk_lower(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c);
 
-/// Triangular solve with multiple right-hand sides.
-/// Side::Right, Trans::Transpose, Uplo::Lower solves X * L^T = B in place
-/// (the paper's trsm: L2 := L2 * L1^{-T}).
-/// Side::Left supports the supernodal forward (NoTrans) and backward
-/// (Transpose) substitution sweeps.
+/// Triangular solve with multiple right-hand sides: Side::Right,
+/// Trans::Transpose, Uplo::Lower solves X * L^T = alpha * B in place (the
+/// paper's trsm: L2 := L2 * L1^{-T}).
 template <typename T>
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
           MatrixView<const T> a, MatrixView<T> b);
 
-/// Number of floating point operations for each kernel, following the
-/// paper's asymptotic counts (Section IV-B): potrf k^3/3, trsm m k^2,
-/// syrk m^2 k (counting multiply-add as 2 flops would double these; we keep
-/// the paper's convention so rates are comparable with Table III).
+/// Number of floating point operations for each kernel: the conventional
+/// leading-order counts, a multiply-add counted as 2 flops (potrf k^3/3,
+/// trsm m k^2, syrk m^2 k, gemm 2 m n k), as in the paper's Section IV-B, so
+/// rates are comparable with Table III.
 index_t potrf_ops(index_t k);
 index_t trsm_ops(index_t m, index_t k);
 index_t syrk_ops(index_t m, index_t k);

@@ -115,6 +115,21 @@ void copy_into(MatrixView<U> src, MatrixView<T> dst) {
   }
 }
 
+/// c := beta * c; beta == 0 writes zeros (the BLAS convention, so NaNs in
+/// c do not survive), beta == 1 leaves c untouched.
+template <typename T>
+void scale(T beta, MatrixView<T> c) {
+  if (beta == T{1}) return;
+  for (index_t j = 0; j < c.cols(); ++j) {
+    T* col = &c(0, j);
+    if (beta == T{}) {
+      std::fill(col, col + c.rows(), T{});
+    } else {
+      for (index_t i = 0; i < c.rows(); ++i) col[i] *= beta;
+    }
+  }
+}
+
 /// Frobenius norm of a view.
 template <typename T>
 double frobenius_norm(MatrixView<const T> a) {

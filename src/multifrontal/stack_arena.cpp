@@ -6,17 +6,19 @@
 
 namespace mfgpu {
 
-StackArena::StackArena(index_t capacity_entries) {
+StackArena::StackArena(index_t capacity_entries)
+    : capacity_(capacity_entries) {
   MFGPU_CHECK(capacity_entries >= 0, "StackArena: negative capacity");
-  buffer_.resize(static_cast<std::size_t>(capacity_entries));
+  buffer_ = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(capacity_entries));
 }
 
 std::span<double> StackArena::push(index_t entries) {
   MFGPU_CHECK(entries >= 0, "StackArena: negative block size");
-  MFGPU_CHECK(top_ + entries <= static_cast<index_t>(buffer_.size()),
+  MFGPU_CHECK(top_ + entries <= capacity_,
               "StackArena: overflow — symbolic peak estimate violated");
   offsets_.push_back(top_);
-  std::span<double> block(buffer_.data() + top_,
+  std::span<double> block(buffer_.get() + top_,
                           static_cast<std::size_t>(entries));
   std::fill(block.begin(), block.end(), 0.0);
   top_ += entries;
@@ -35,7 +37,7 @@ std::span<double> StackArena::from_top(index_t i) {
   const index_t begin = offsets_[idx];
   const index_t end =
       (idx + 1 < offsets_.size()) ? offsets_[idx + 1] : top_;
-  return {buffer_.data() + begin, static_cast<std::size_t>(end - begin)};
+  return {buffer_.get() + begin, static_cast<std::size_t>(end - begin)};
 }
 
 void StackArena::pop() {

@@ -7,6 +7,7 @@
 // peak_update_stack_entries() instead of the sum over all supernodes.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,8 @@ namespace mfgpu {
 
 class StackArena {
  public:
+  /// The buffer is left uninitialized: push() zeroes each block it hands
+  /// out, so only the entries a factorization uses are ever written.
   explicit StackArena(index_t capacity_entries);
 
   /// Push a block of `entries` doubles (zero-initialized); returns its view.
@@ -32,7 +35,8 @@ class StackArena {
   index_t peak_entries() const noexcept { return peak_; }
 
  private:
-  std::vector<double> buffer_;
+  std::unique_ptr<double[]> buffer_;
+  index_t capacity_ = 0;
   std::vector<index_t> offsets_;  ///< start offset of each live block
   index_t top_ = 0;
   index_t peak_ = 0;

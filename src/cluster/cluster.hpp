@@ -6,9 +6,10 @@
 //   - Elimination subtrees map to simulated cluster nodes: the proportional
 //     mapping seeds the placement and a greedy refinement trades residual
 //     load imbalance against interconnect cost (cluster/placement.hpp).
-//   - Each node owns its full execution state — a FactorContext (virtual
-//     host clock), optionally a private simulated Device, an FuExecutor,
-//     and a StackArena — exactly like one worker of factorize_parallel.
+//   - Each node is one FrontStep lane (multifrontal/front_step.hpp), exactly
+//     like one worker of factorize_parallel, and every front runs the shared
+//     FrontStep; this driver keeps only placement, the wires, death
+//     failover and the two engines below.
 //   - A child placed on another node ships its PACKED update matrix to the
 //     parent's node as a sized message over an InterconnectModel link
 //     (sched/interconnect.hpp). Messages serialize on the producer's
@@ -23,9 +24,9 @@
 //     level — the reference the fan-both speedup is measured against
 //     (bench/bench_cluster_scaling.cpp).
 //
-// Determinism: children are extend-added in the serial driver's order
-// (descending child index) and device-fault fates are a pure function of
-// (seed, front, op) — never of placement — so the cluster factor is
+// Determinism: FrontStep extend-adds children in the serial order and
+// device-fault fates are a pure function of (seed, front, op) — never of
+// placement — so the cluster factor is
 // BITWISE identical to the serial factorize() for every node count, link
 // speed, engine, and non-death fault seed.
 //

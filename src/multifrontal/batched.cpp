@@ -5,6 +5,7 @@
 
 #include "dense/blas.hpp"
 #include "support/error.hpp"
+#include "symbolic/postorder.hpp"
 
 namespace mfgpu {
 
@@ -36,19 +37,15 @@ BatchPlan group_batches(const SymbolicFactor& sym,
                         const BatchingOptions& options) {
   const index_t nsup = sym.num_supernodes();
   BatchPlan plan;
-  plan.height.assign(static_cast<std::size_t>(nsup), 0);
   plan.batch_of.assign(static_cast<std::size_t>(nsup), -1);
 
-  // Supernodes are postordered (children precede parents), so one forward
-  // pass computes every etree height.
   const auto snodes = sym.supernodes();
+  std::vector<index_t> parent(static_cast<std::size_t>(nsup));
   for (index_t s = 0; s < nsup; ++s) {
-    const index_t parent = snodes[static_cast<std::size_t>(s)].parent;
-    if (parent == -1) continue;
-    MFGPU_CHECK(parent > s, "group_batches: supernodes not postordered");
-    auto& h = plan.height[static_cast<std::size_t>(parent)];
-    h = std::max(h, plan.height[static_cast<std::size_t>(s)] + 1);
+    parent[static_cast<std::size_t>(s)] =
+        snodes[static_cast<std::size_t>(s)].parent;
   }
+  plan.height = etree_heights(parent);
   for (index_t s = 0; s < nsup; ++s) {
     plan.num_levels =
         std::max(plan.num_levels, plan.height[static_cast<std::size_t>(s)] + 1);

@@ -1,6 +1,8 @@
-// The multifrontal Cholesky driver: postorder traversal of the supernodal
-// assembly tree, frontal assembly (extend-add), factor-update execution via
-// a pluggable policy executor, and supernodal factor storage.
+// The serial multifrontal Cholesky driver and the factor types every driver
+// returns. Each supernode runs the shared FrontStep (assemble, factor-update
+// through a pluggable policy executor, panel store, update hand-off; see
+// multifrontal/front_step.hpp); factorize() only chooses the order:
+// postorder, or level order when small fronts are batched.
 #pragma once
 
 #include <cstdint>

@@ -1,42 +1,32 @@
 // Task-parallel numeric factorization: the assembly tree executed by real
-// threads on a work-stealing pool (sched/thread_pool.hpp), closing the gap
-// between the serial postorder driver (multifrontal/factorization.hpp) and
-// the paper's multi-worker runs that sched/list_scheduler.hpp only
-// *simulates* (Table VII: 4 CPU threads, 2 threads + 2 GPUs).
+// threads on a work-stealing pool (sched/thread_pool.hpp) — the paper's
+// multi-worker runs (Table VII: 4 CPU threads, 2 threads + 2 GPUs) that
+// sched/list_scheduler.hpp only *simulates*.
 //
-// Execution model
-//   - One worker per WorkerSpec. Worker deques are seeded with the leaves
-//     via proportional mapping, so whole subtrees stay worker-local and only
-//     separator update matrices cross queues; critical-path (bottom-level)
-//     priority orders each worker's seeds.
-//   - Every worker owns its full execution state: a FactorContext (virtual
-//     host clock + calibrated host model), a StackArena backing its frontal
-//     working storage, its FuExecutor, and — for GPU-bearing workers — a
-//     private simulated Device with its own streams, so no gpusim state is
-//     ever shared between threads.
-//   - A parent assembles only after its ready-counter hits zero (pool
-//     acquire-release hand-off); children publish packed update matrices in
-//     per-task buffers, freed as soon as the parent consumed them.
+// Each worker is one FrontStep lane (multifrontal/front_step.hpp: its own
+// virtual clock, executor, front arena and, for GPU workers, private
+// simulated Device); every front runs the shared FrontStep. This driver
+// adds only the order: the unit DAG (the assembly tree, with each planned
+// batch condensed into one node) on the pool, whose deques are seeded by
+// proportional mapping so whole subtrees stay worker-local, and ordered by
+// critical-path bottom level.
 //
 // Time has two domains here. Wall-clock time is real (kernels do real work
 // on real threads; see bench/bench_parallel_scaling.cpp). Virtual time is
-// tracked per worker exactly like the serial driver: a task's virtual start
-// is max(worker clock, children's virtual update-ready times), and
-// trace.total_time is the virtual makespan max over workers — the executed
-// schedule priced on the paper's calibrated hardware model.
+// per worker: a task's virtual start is max(worker clock, children's
+// virtual update-ready times), and trace.total_time is the virtual makespan
+// over workers — the executed schedule priced on the calibrated model.
 //
-// Determinism: with deterministic_reduction (default), children are
-// extend-added in the serial driver's order (descending child index), so the
-// result is BITWISE identical to factorize() for any thread count. With it
-// off, children are assembled in completion order (roundoff-level
-// differences; iterative refinement absorbs them).
+// Determinism: with deterministic_reduction (default) the result is BITWISE
+// identical to factorize() for any thread count. With it off, children are
+// assembled in completion order (roundoff-level differences; iterative
+// refinement absorbs them).
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "multifrontal/factorization.hpp"
+#include "multifrontal/front_step.hpp"
 #include "policy/executors.hpp"
 #include "sched/worker.hpp"
 
@@ -59,16 +49,6 @@ struct ParallelFactorizeOptions {
   /// per worker. The `numeric.recorder` field is ignored here.
   obs::ScheduleRecorder* recorder = nullptr;
 };
-
-/// Builds one worker's executor; called once per worker before the run (the
-/// executor is then used exclusively by that worker's thread).
-using WorkerExecutorFactory =
-    std::function<std::unique_ptr<FuExecutor>(const WorkerSpec& spec, int worker)>;
-
-/// The default factory, mirroring the scheduling simulation's semantics:
-/// CPU workers run P1; GPU workers dispatch the paper's baseline hybrid.
-std::unique_ptr<FuExecutor> default_worker_executor(
-    const WorkerSpec& spec, const ExecutorOptions& executor_options);
 
 /// Factor `analysis` with real threads. Matches factorize()'s contract
 /// (panels, trace, NotPositiveDefiniteError propagation from any worker);

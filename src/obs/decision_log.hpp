@@ -24,7 +24,7 @@ namespace mfgpu::obs {
 
 /// One dispatcher decision for a factor-update call.
 struct PolicyDecision {
-  FuCall call;    ///< the dispatched call (snode, m, k, level, flops)
+  FuCall call;    ///< the dispatched call (snode, m, k, flops)
   int policy = 0; ///< policy that actually executed (1..5)
   /// Fronts aggregated into the dispatch that executed this call (1 = the
   /// per-front path; > 1 only under Policy::Batched). The audit prices

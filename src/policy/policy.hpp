@@ -35,10 +35,6 @@ Policy policy_from_index(int index);  ///< 1-based, matching the paper
 /// Total asymptotic ops of one factor-update call: k^3/3 + m k^2 + m^2 k.
 double fu_total_ops(index_t m, index_t k);
 
-/// Build a FuCall with its flop count filled in from (m, k).
-FuCall make_fu_call(index_t m, index_t k, index_t snode = -1,
-                    index_t level = 0, index_t global_col = 0);
-
 /// Bytes moved by the basic GPU implementation's copies, paper Eq. 2:
 /// N_D(L1, L2) = k^2 + 2 m k words up+down, N_D(L2 L2^T) = m^2 words back.
 /// (single-precision words on the device link).

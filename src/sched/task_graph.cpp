@@ -1,6 +1,7 @@
 #include "sched/task_graph.hpp"
 
 #include "multifrontal/stack_arena.hpp"
+#include "policy/policy.hpp"
 #include "symbolic/postorder.hpp"
 
 namespace mfgpu {
@@ -38,6 +39,29 @@ TaskGraph build_task_graph(const SymbolicFactor& sym,
   }
   g.children = children_lists(g.parent);
   return g;
+}
+
+std::vector<double> task_costs(const TaskGraph& graph) {
+  std::vector<double> cost(static_cast<std::size_t>(graph.num_tasks));
+  for (index_t t = 0; t < graph.num_tasks; ++t) {
+    cost[static_cast<std::size_t>(t)] =
+        fu_total_ops(graph.ms[static_cast<std::size_t>(t)],
+                     graph.ks[static_cast<std::size_t>(t)]) +
+        graph.assembly_entries[static_cast<std::size_t>(t)];
+  }
+  return cost;
+}
+
+std::vector<double> bottom_levels(const TaskGraph& graph,
+                                  const std::vector<double>& cost) {
+  std::vector<double> bottom(static_cast<std::size_t>(graph.num_tasks), 0.0);
+  for (index_t t = graph.num_tasks - 1; t >= 0; --t) {
+    const index_t p = graph.parent[static_cast<std::size_t>(t)];
+    bottom[static_cast<std::size_t>(t)] =
+        cost[static_cast<std::size_t>(t)] +
+        ((p != -1) ? bottom[static_cast<std::size_t>(p)] : 0.0);
+  }
+  return bottom;
 }
 
 }  // namespace mfgpu

@@ -24,4 +24,14 @@ struct TaskGraph {
 
 TaskGraph build_task_graph(const SymbolicFactor& sym, const SparseSpd& permuted);
 
+/// Relative serial cost of each task: factor-update ops plus memory-bound
+/// assembly entries.
+std::vector<double> task_costs(const TaskGraph& graph);
+
+/// Critical-path bottom level of each task under `cost`: its own cost plus
+/// its parent's bottom level (the priority of the pool's seeds and of the
+/// cluster's ready tasks).
+std::vector<double> bottom_levels(const TaskGraph& graph,
+                                  const std::vector<double>& cost);
+
 }  // namespace mfgpu

@@ -46,9 +46,9 @@ struct TreeDag {
 /// num_deps matches the indegree implied by succ.
 ///
 /// This generalizes TreeDag (each tree task has at most one successor, its
-/// parent); run_tree lowers to this form. The batched multifrontal driver
-/// uses it directly: one node per front *batch*, with successor edges to
-/// every member's parent node.
+/// parent); run_tree lowers to this form. The parallel multifrontal driver
+/// uses it directly: one node per unit (a front, or a front *batch* with
+/// successor edges to every member's parent node).
 struct GraphDag {
   std::span<const index_t> succ_ptr;  ///< size num_tasks + 1
   std::span<const index_t> succ;      ///< flattened successor lists

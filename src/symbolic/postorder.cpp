@@ -1,5 +1,7 @@
 #include "symbolic/postorder.hpp"
 
+#include <algorithm>
+
 namespace mfgpu {
 
 std::vector<std::vector<index_t>> children_lists(
@@ -14,6 +16,20 @@ std::vector<std::vector<index_t>> children_lists(
     }
   }
   return children;
+}
+
+std::vector<index_t> etree_heights(std::span<const index_t> parent) {
+  const index_t n = static_cast<index_t>(parent.size());
+  std::vector<index_t> height(static_cast<std::size_t>(n), 0);
+  // Children precede parents, so one forward pass sees every child first.
+  for (index_t v = 0; v < n; ++v) {
+    const index_t p = parent[static_cast<std::size_t>(v)];
+    if (p == -1) continue;
+    MFGPU_CHECK(p > v && p < n, "etree_heights: forest not postordered");
+    auto& h = height[static_cast<std::size_t>(p)];
+    h = std::max(h, height[static_cast<std::size_t>(v)] + 1);
+  }
+  return height;
 }
 
 std::vector<index_t> postorder_forest(std::span<const index_t> parent) {

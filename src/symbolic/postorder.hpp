@@ -21,4 +21,8 @@ bool is_postordered(std::span<const index_t> parent);
 /// Build children adjacency (first_child / next_sibling flattened to lists).
 std::vector<std::vector<index_t>> children_lists(std::span<const index_t> parent);
 
+/// Etree height of every vertex of a forest with parent > child: leaves 0,
+/// a parent one above its highest child.
+std::vector<index_t> etree_heights(std::span<const index_t> parent);
+
 }  // namespace mfgpu
